@@ -13,6 +13,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace flash::util
 {
@@ -43,20 +44,23 @@ void warn(const std::string &msg);
 /** Print an informational message to stderr. */
 void inform(const std::string &msg);
 
-/** fatal() when the condition holds. */
+/**
+ * fatal() when the condition holds. The message is only copied into a
+ * string on failure, so a check in a per-page loop costs one branch.
+ */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
     if (cond)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
-/** panic() when the condition holds. */
+/** panic() when the condition holds (message copied only on failure). */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
     if (cond)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 } // namespace flash::util
