@@ -28,7 +28,9 @@ class PageFtl : public FtlInterface
     /**
      * @param precondition When true, every logical page is mapped
      *        sequentially up front (a full drive), so reads always
-     *        hit mapped pages and GC pressure is realistic.
+     *        hit mapped pages and GC pressure is realistic. Built in
+     *        closed form; fatal if a sequential fill of the drive
+     *        would drop a plane below gcThreshold.
      */
     explicit PageFtl(const SsdConfig &config, bool precondition = true);
 
