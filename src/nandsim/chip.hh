@@ -20,6 +20,7 @@
 #include "nandsim/geometry.hh"
 #include "nandsim/gray_code.hh"
 #include "nandsim/voltage_model.hh"
+#include "util/rng.hh"
 
 namespace flash::nand
 {
@@ -210,6 +211,32 @@ class Chip
     double staticCellVth(const WordlineContext &ctx, int block, int wl,
                          int col, int state) const;
 
+    /**
+     * Hash behind a cell's static draw: toGaussian() of it is the
+     * cell's z, and its low 11 bits gate the heavy tail (see
+     * isTailCell()). Exposed so the lazy WordlineSnapshot can bound a
+     * cell's Vth without drawing its Gaussians.
+     */
+    std::uint64_t
+    cellZHash(int block, int wl, int col) const
+    {
+        return util::fastHash(seed_ ^ kSaltCellZ,
+                              static_cast<std::uint64_t>(block),
+                              static_cast<std::uint64_t>(wl),
+                              static_cast<std::uint64_t>(col));
+    }
+
+    /**
+     * Whether the cell with z-hash @p zh belongs to the heavy-tail
+     * population. toGaussian() consumes the top 53 bits of the hash;
+     * the low 11 gate the tail independently, at no extra hash cost.
+     */
+    static bool
+    isTailCell(const WordlineContext &ctx, std::uint64_t zh)
+    {
+        return (zh & 0x7ff) < ctx.tailThresh;
+    }
+
     /** Per-read noise term of cellVth() (0 when the model has none). */
     double readNoise(const WordlineContext &ctx, int block, int wl, int col,
                      std::uint64_t read_seq) const;
@@ -239,6 +266,8 @@ class Chip
     /// @}
 
   private:
+    static constexpr std::uint64_t kSaltCellZ = 0x63656c6c5a7a0002ULL;
+
     void checkAddress(int block, int wl) const;
 
     ChipGeometry geom_;

@@ -19,9 +19,17 @@ namespace flash::util
 
 /**
  * Mix a 64-bit value into a well-distributed 64-bit hash
- * (the splitmix64 finalizer).
+ * (the splitmix64 finalizer). Inline: it ends every per-cell
+ * fastHash().
  */
-std::uint64_t mix64(std::uint64_t x);
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 /** Combine two 64-bit values into one hash. */
 std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
@@ -62,6 +70,13 @@ double toUnitUniform(std::uint64_t h);
  * error far below what a Vth model can notice).
  */
 double toGaussian(std::uint64_t h);
+
+/**
+ * Bound on |toGaussian(h)| over every h: the uniform is clamped to
+ * [1e-12, 1 - 1e-12] and the inverse CDF there is ±7.03448. Exact
+ * sensing pruning (nand::WordlineSnapshot's lazy mode) relies on it.
+ */
+constexpr double kGaussianBound = 7.0345;
 
 /**
  * A small keyed generator for streaming use (experiment harnesses,

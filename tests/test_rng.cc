@@ -108,6 +108,47 @@ TEST(ToGaussian, SymmetricAroundZero)
     EXPECT_NEAR(a, 0.0, 1e-6);
 }
 
+TEST(ToGaussian, BoundedByGaussianBound)
+{
+    // The clamped uniform's ends give the extremes.
+    EXPECT_LE(std::abs(toGaussian(0)), kGaussianBound);
+    EXPECT_LE(std::abs(toGaussian(~0ULL)), kGaussianBound);
+    EXPECT_GT(std::abs(toGaussian(0)), kGaussianBound - 1e-4);
+    for (std::uint64_t i = 0; i < (1u << 20); ++i) {
+        const double z = toGaussian(i << 44);
+        ASSERT_LE(std::abs(z), kGaussianBound) << "i " << i;
+    }
+}
+
+/**
+ * toGaussian must be monotone up to tiny jitter: the lazy snapshot
+ * bounds a cell's z by its values at hash-bucket edges. Checked on a
+ * dense grid and ulp by ulp of the uniform around the rational
+ * approximation's branch points.
+ */
+TEST(ToGaussian, MonotoneWithinTolerance)
+{
+    constexpr double kJitter = 1e-9;
+    double prev = toGaussian(0);
+    for (std::uint64_t i = 1; i < (1u << 22); ++i) {
+        const double z = toGaussian(i << 42);
+        ASSERT_GE(z, prev - kJitter) << "i " << i;
+        prev = z;
+    }
+    // h >> 11 is the uniform's 53-bit numerator.
+    for (const double branch : {0.02425, 1.0 - 0.02425}) {
+        const auto m0 = static_cast<std::int64_t>(branch * 0x1.0p53);
+        double last = toGaussian(static_cast<std::uint64_t>(m0 - 200001)
+                                 << 11);
+        for (std::int64_t k = -200000; k <= 200000; ++k) {
+            const double z =
+                toGaussian(static_cast<std::uint64_t>(m0 + k) << 11);
+            ASSERT_GE(z, last - kJitter) << "branch " << branch << " k " << k;
+            last = z;
+        }
+    }
+}
+
 TEST(Rng, Reproducible)
 {
     Rng a(7), b(7);

@@ -2,9 +2,9 @@
  * WordlineVthView equivalence suite: the batched sensing path must be
  * bit-identical to the per-cell chip APIs it accelerates — senseDac
  * vs cellVth, packBits vs readBits, pageRead vs the byte-wise oracle
- * (the Chip::readPage regression), snapshots built from views vs
- * direct snapshots, and the packed sentinel / state-change kernels vs
- * their histogram-based counterparts.
+ * (the Chip::readPage regression), lazy snapshots vs eager ones, and
+ * the packed sentinel / state-change kernels vs their histogram-based
+ * counterparts on the lazy snapshots read sessions build.
  */
 
 #include <gtest/gtest.h>
@@ -155,30 +155,37 @@ TEST_F(VthViewTest, ReadPageMatchesByteWiseOracle)
     }
 }
 
-TEST_F(VthViewTest, SnapshotFromViewMatchesDirectSnapshot)
+/** Lazy snapshot of a column range, as a read session builds it. */
+WordlineSnapshot
+lazySnapshot(const Chip &c, int col_begin, int col_end, std::uint64_t seq)
+{
+    return WordlineSnapshot(c, kBlock, kWl, seq, col_begin, col_end,
+                            WordlineSnapshot::Lazy{});
+}
+
+TEST_F(VthViewTest, LazySnapshotMatchesDirectSnapshot)
 {
     const std::uint64_t seq = 1234;
-    const WordlineVthView view =
-        WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    const WordlineSnapshot from_view(view, seq);
+    const WordlineSnapshot lazy =
+        lazySnapshot(*chip, 0, chip->geometry().dataBitlines, seq);
     const WordlineSnapshot direct =
         WordlineSnapshot::dataRegion(*chip, kBlock, kWl, seq);
 
-    ASSERT_EQ(from_view.cells(), direct.cells());
+    ASSERT_EQ(lazy.cells(), direct.cells());
     for (int s = 0; s < direct.states(); ++s)
-        EXPECT_EQ(from_view.cellsInState(s), direct.cellsInState(s));
+        EXPECT_EQ(lazy.cellsInState(s), direct.cellsInState(s));
 
     const auto defaults = chip->model().defaultVoltages();
     for (int page = 0; page < chip->geometry().pagesPerWordline(); ++page)
-        EXPECT_EQ(from_view.pageErrors(page, defaults),
+        EXPECT_EQ(lazy.pageErrors(page, defaults),
                   direct.pageErrors(page, defaults));
 
     const int mid = direct.states() / 2;
     const int v0 = defaults[static_cast<std::size_t>(mid)];
     for (int v = v0 - 10; v <= v0 + 10; v += 5) {
-        EXPECT_EQ(from_view.upErrors(mid, v), direct.upErrors(mid, v));
-        EXPECT_EQ(from_view.downErrors(mid, v), direct.downErrors(mid, v));
-        EXPECT_EQ(from_view.cellsInVthRange(v0, v),
+        EXPECT_EQ(lazy.upErrors(mid, v), direct.upErrors(mid, v));
+        EXPECT_EQ(lazy.downErrors(mid, v), direct.downErrors(mid, v));
+        EXPECT_EQ(lazy.cellsInVthRange(v0, v),
                   direct.cellsInVthRange(v0, v));
     }
 }
@@ -188,7 +195,8 @@ TEST_F(VthViewTest, PackedSentinelErrorsMatchSnapshotKernel)
     const std::uint64_t seq = 4321;
     const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
                                     overlay.start + overlay.count);
-    const WordlineSnapshot sent_snap(sent_view, seq);
+    const WordlineSnapshot sent_snap = lazySnapshot(
+        *chip, overlay.start, overlay.start + overlay.count, seq);
     const int k_s = chip->geometry().states() / 2;
     const core::SentinelMasks masks(sent_view, k_s);
     const auto dac = sent_view.senseDac(seq);
@@ -216,8 +224,10 @@ TEST_F(VthViewTest, PackedStateChangeMatchesSnapshotOverload)
         WordlineVthView::dataRegion(*chip, kBlock, kWl);
     const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
                                     overlay.start + overlay.count);
-    const WordlineSnapshot data_snap(data_view, data_seq);
-    const WordlineSnapshot sent_snap(sent_view, sent_seq);
+    const WordlineSnapshot data_snap =
+        lazySnapshot(*chip, 0, chip->geometry().dataBitlines, data_seq);
+    const WordlineSnapshot sent_snap = lazySnapshot(
+        *chip, overlay.start, overlay.start + overlay.count, sent_seq);
     const auto data_dac = data_view.senseDac(data_seq);
     const auto sent_dac = sent_view.senseDac(sent_seq);
 
