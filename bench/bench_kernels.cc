@@ -5,7 +5,7 @@
  *
  *   bench_kernels [--reps N] [--json FILE]
  *
- * Four kernels, each timed as scalar-oracle vs packed and checked for
+ * Five kernels, each timed as scalar-oracle vs packed and checked for
  * identical results before any timing is trusted:
  *
  *   sense_count_page  one read session (4 voltage sets) over a full
@@ -18,6 +18,10 @@
  *   soft_agreement    6-extra-sense agreement accumulation: byte adds
  *                     vs XOR/flip + bit-sliced counter.
  *   bit_errors        raw mismatch count: byte loop vs diffCount.
+ *   lazy_snapshot     a read session's snapshot queries (page errors at
+ *                     4 voltage sets, sentinel-boundary errors): eager
+ *                     WordlineSnapshot vs the lazy one ReadContext
+ *                     builds (the "packed" column).
  *
  * The JSON export ({"kernels": {name: {scalar_ns, packed_ns,
  * speedup}}}) feeds tools/bench_compare, which CI uses to fail the
@@ -33,6 +37,7 @@
 #include "bench_support.hh"
 #include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
+#include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "util/bitplane.hh"
 #include "util/metrics.hh"
@@ -278,6 +283,37 @@ main(int argc, char **argv)
                       "bit_errors: packed result diverges");
         results.push_back({"bit_errors", timeNs(reps, scalar),
                            timeNs(reps, packed)});
+    }
+
+    // --- lazy_snapshot ----------------------------------------------
+    {
+        const auto session = [&](const nand::WordlineSnapshot &snap) {
+            std::uint64_t acc = 0;
+            for (const auto &v : sets)
+                acc += snap.pageErrors(page, v);
+            acc += snap.boundaryErrors(
+                k_s, defaults[static_cast<std::size_t>(k_s)]);
+            return acc;
+        };
+        std::uint64_t eager_acc = 0, lazy_acc = 0;
+        const auto eager = [&] {
+            const nand::WordlineSnapshot snap =
+                nand::WordlineSnapshot::dataRegion(chip, block, wl, 7);
+            eager_acc = session(snap);
+            g_sink = eager_acc;
+        };
+        const auto lazy = [&] {
+            const nand::WordlineSnapshot snap(
+                chip, block, wl, 7, 0, cells, nand::WordlineSnapshot::Lazy{});
+            lazy_acc = session(snap);
+            g_sink = lazy_acc;
+        };
+        eager();
+        lazy();
+        util::fatalIf(eager_acc != lazy_acc,
+                      "lazy_snapshot: lazy result diverges");
+        results.push_back(
+            {"lazy_snapshot", timeNs(reps, eager), timeNs(reps, lazy)});
     }
 
     util::TextTable table;

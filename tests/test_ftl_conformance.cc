@@ -474,6 +474,42 @@ TEST_P(FtlConformance, NamesAndFactoryAgree)
     EXPECT_GT(ftl->footprintBytes(), 0u);
 }
 
+/**
+ * FAST's GC policy only chooses among the plane's RW logs, so it can
+ * matter only when a plane keeps at least three of them (rwCap =
+ * spare blocks - 3, capped at 4). tinyConfig keeps 6 spare blocks per
+ * plane, so rwCap = 3: under a skewed overwrite stream greedy and
+ * cost-benefit full merges pick different victims and the runs
+ * diverge. (The fleet's smallDeviceConfig keeps 5 spare blocks per
+ * plane, rwCap = 2, where the two policies can agree on every merge.)
+ */
+TEST(FastFtlGcPolicy, FullMergeVictimsDivergeWithThreeRwLogs)
+{
+    FtlStats stats[2];
+    int i = 0;
+    for (const GcVictimPolicy policy :
+         {GcVictimPolicy::Greedy, GcVictimPolicy::CostBenefit}) {
+        const auto ftl = makeFtl(tinyConfig(FtlKind::Fast, policy), true);
+        util::Rng rng(0x6c09);
+        const std::int64_t n = ftl->logicalPages();
+        const std::int64_t hot = std::max<std::int64_t>(1, n / 8);
+        for (int w = 0; w < 6000; ++w) {
+            const std::int64_t span = rng.uniform() < 0.8 ? hot : n;
+            ftl->write(static_cast<std::int64_t>(
+                rng.uniformInt(static_cast<std::uint64_t>(span))));
+        }
+        ftl->checkInvariants();
+        stats[i++] = ftl->stats();
+    }
+    EXPECT_EQ(stats[0].hostWrites, stats[1].hostWrites);
+    EXPECT_GT(stats[0].fullMerges, 0u);
+    EXPECT_GT(stats[1].fullMerges, 0u);
+    EXPECT_TRUE(stats[0].migratedPages != stats[1].migratedPages
+                || stats[0].erases != stats[1].erases
+                || stats[0].fullMerges != stats[1].fullMerges)
+        << "greedy and cost-benefit made every full-merge choice alike";
+}
+
 TEST(FtlPreconditionDeathTest, FillThatWouldRunGcIsRejected)
 {
     // 2% over-provisioning leaves a plane well under the 5% GC
