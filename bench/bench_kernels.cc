@@ -1,78 +1,40 @@
 /**
  * @file
- * Microbenchmark of the packed sensing kernels against the byte-wise
- * scalar oracles they replaced.
+ * Microbenchmark of the sensing kernels against the reference paths
+ * they replaced.
  *
  *   bench_kernels [--reps N] [--json FILE]
  *
- * Five kernels, each timed as scalar-oracle vs packed and checked for
- * identical results before any timing is trusted:
+ * Two kernels, each timed as reference ("scalar") vs the path the
+ * program runs ("packed") and checked for identical results before
+ * any timing is trusted:
  *
- *   sense_count_page  one read session (4 voltage sets) over a full
- *                     wordline: per-voltage Chip::readBits + byte
- *                     compare vs one WordlineVthView + packed
- *                     pageRead. The repo's sense+count hot path.
- *   sentinel_updown   up/down error counts across a 33-voltage sweep:
- *                     byte loop vs SentinelMasks + senseAbove +
- *                     popcount kernels.
- *   soft_agreement    6-extra-sense agreement accumulation: byte adds
- *                     vs XOR/flip + bit-sliced counter.
- *   bit_errors        raw mismatch count: byte loop vs diffCount.
+ *   soft_agreement    6-extra-sense agreement accumulation of soft
+ *                     sensing: byte adds vs XOR/flip + bit-sliced
+ *                     counter.
  *   lazy_snapshot     a read session's snapshot queries (page errors at
  *                     4 voltage sets, sentinel-boundary errors): eager
  *                     WordlineSnapshot vs the lazy one ReadContext
- *                     builds (the "packed" column).
+ *                     builds. The read path's row.
  *
  * The JSON export ({"kernels": {name: {scalar_ns, packed_ns,
  * speedup}}}) feeds tools/bench_compare, which CI uses to fail the
- * build when a packed kernel regresses below its oracle.
+ * build when a kernel regresses below its reference.
  */
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <functional>
 #include <vector>
 
 #include "bench_support.hh"
-#include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
 #include "util/bitplane.hh"
-#include "util/metrics.hh"
 #include "util/rng.hh"
 
 using namespace flash;
 
 namespace
 {
-
-/** Best-of-@p reps wall time of @p fn in nanoseconds. */
-double
-timeNs(int reps, const std::function<void()> &fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count();
-        if (r == 0 || ns < best)
-            best = ns;
-    }
-    return best;
-}
-
-struct KernelResult
-{
-    std::string name;
-    double scalarNs = 0.0;
-    double packedNs = 0.0;
-
-    double speedup() const { return scalarNs / packedNs; }
-};
 
 volatile std::uint64_t g_sink; // defeat dead-code elimination
 
@@ -86,7 +48,7 @@ main(int argc, char **argv)
     const std::string json_out = bench::stringArg(argc, argv, "json");
 
     bench::header("Kernel microbenchmark",
-                  "packed bitplane kernels vs byte-wise scalar oracles",
+                  "sensing kernels vs their reference paths",
                   "n/a (engineering benchmark)");
 
     auto chip = bench::makeTlcChip();
@@ -112,87 +74,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<KernelResult> results;
-
-    // --- sense_count_page -------------------------------------------
-    {
-        // Session semantics (see ReadContext): one noise draw per
-        // session, reused across every voltage set. The byte-wise
-        // chip API has no way to reuse a sense, so the oracle rehashes
-        // every cell once per voltage set; the view senses once and
-        // re-thresholds the same DAC values.
-        std::uint64_t scalar_errs = 0, packed_errs = 0;
-        const auto scalar = [&] {
-            std::vector<std::uint8_t> tb, bits;
-            chip.trueBits(block, wl, page, 0, cells, tb);
-            std::uint64_t errs = 0;
-            for (std::size_t i = 0; i < sets.size(); ++i) {
-                chip.readBits(block, wl, page, sets[i], 1000, 0, cells,
-                              bits);
-                for (std::size_t c = 0; c < bits.size(); ++c)
-                    errs += bits[c] != tb[c];
-            }
-            scalar_errs = errs;
-            g_sink = errs;
-        };
-        const auto packed = [&] {
-            const nand::WordlineVthView view =
-                nand::WordlineVthView::dataRegion(chip, block, wl);
-            const std::vector<int> dac = view.senseDac(1000);
-            std::uint64_t errs = 0;
-            for (std::size_t i = 0; i < sets.size(); ++i)
-                errs += view.pageRead(page, sets[i], dac).bitErrors;
-            packed_errs = errs;
-            g_sink = errs;
-        };
-        scalar();
-        packed();
-        util::fatalIf(scalar_errs != packed_errs,
-                      "sense_count_page: packed result diverges");
-        results.push_back({"sense_count_page", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
-    }
-
-    // --- sentinel_updown --------------------------------------------
-    {
-        const nand::WordlineVthView view =
-            nand::WordlineVthView::dataRegion(chip, block, wl);
-        const std::vector<int> dac = view.senseDac(2000);
-        const int v0 = defaults[static_cast<std::size_t>(k_s)];
-        std::uint64_t scalar_acc = 0, packed_acc = 0;
-        const auto scalar = [&] {
-            std::uint64_t acc = 0;
-            for (int v = v0 - 16; v <= v0 + 16; ++v) {
-                std::uint64_t up = 0, down = 0;
-                for (std::size_t i = 0; i < view.cells(); ++i) {
-                    const int s = view.state(i);
-                    if (s == k_s - 1)
-                        up += dac[i] > v;
-                    else if (s == k_s)
-                        down += dac[i] <= v;
-                }
-                acc += up + 2 * down;
-            }
-            scalar_acc = acc;
-            g_sink = acc;
-        };
-        const auto packed = [&] {
-            const core::SentinelMasks masks(view, k_s);
-            std::uint64_t acc = 0;
-            for (int v = v0 - 16; v <= v0 + 16; ++v) {
-                const auto e = core::countSentinelErrors(view, masks, dac, v);
-                acc += e.up + 2 * e.down;
-            }
-            packed_acc = acc;
-            g_sink = acc;
-        };
-        scalar();
-        packed();
-        util::fatalIf(scalar_acc != packed_acc,
-                      "sentinel_updown: packed result diverges");
-        results.push_back({"sentinel_updown", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
-    }
+    std::vector<bench::KernelResult> results;
 
     // --- soft_agreement ---------------------------------------------
     // Both paths consume what the sensing layer produces — packed
@@ -241,48 +123,8 @@ main(int argc, char **argv)
         packed();
         util::fatalIf(scalar_out != packed_out,
                       "soft_agreement: packed result diverges");
-        results.push_back({"soft_agreement", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
-    }
-
-    // --- bit_errors -------------------------------------------------
-    {
-        const std::size_t n = static_cast<std::size_t>(cells);
-        util::Rng rng(0xb17e);
-        std::vector<std::uint8_t> a_bytes(n), b_bytes(n);
-        util::Bitplane a_plane(n), b_plane(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const bool a = rng.uniformInt(2) != 0;
-            const bool b = rng.uniformInt(50) == 0 ? !a : a;
-            a_bytes[i] = a ? 1 : 0;
-            b_bytes[i] = b ? 1 : 0;
-            a_plane.assign(i, a);
-            b_plane.assign(i, b);
-        }
-        std::uint64_t scalar_acc = 0, packed_acc = 0;
-        const auto scalar = [&] {
-            std::uint64_t errs = 0;
-            // 16 passes so the kernel dominates the timer resolution.
-            for (int r = 0; r < 16; ++r) {
-                for (std::size_t i = 0; i < n; ++i)
-                    errs += a_bytes[i] != b_bytes[i];
-            }
-            scalar_acc = errs;
-            g_sink = errs;
-        };
-        const auto packed = [&] {
-            std::uint64_t errs = 0;
-            for (int r = 0; r < 16; ++r)
-                errs += util::diffCount(a_plane, b_plane);
-            packed_acc = errs;
-            g_sink = errs;
-        };
-        scalar();
-        packed();
-        util::fatalIf(scalar_acc != packed_acc,
-                      "bit_errors: packed result diverges");
-        results.push_back({"bit_errors", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back({"soft_agreement", bench::timeNs(reps, scalar),
+                           bench::timeNs(reps, packed)});
     }
 
     // --- lazy_snapshot ----------------------------------------------
@@ -312,38 +154,14 @@ main(int argc, char **argv)
         lazy();
         util::fatalIf(eager_acc != lazy_acc,
                       "lazy_snapshot: lazy result diverges");
-        results.push_back(
-            {"lazy_snapshot", timeNs(reps, eager), timeNs(reps, lazy)});
+        results.push_back({"lazy_snapshot", bench::timeNs(reps, eager),
+                           bench::timeNs(reps, lazy)});
     }
 
-    util::TextTable table;
-    table.header({"kernel", "scalar (us)", "packed (us)", "speedup"});
-    for (const auto &r : results) {
-        table.row({r.name, util::fmt(r.scalarNs / 1000.0, 1),
-                   util::fmt(r.packedNs / 1000.0, 1),
-                   util::fmt(r.speedup(), 2) + "x"});
-    }
-    table.print(std::cout);
-
-    if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        util::fatalIf(!out, "--json: cannot open " + json_out);
-        out << "{\"cells\": " << cells << ", \"reps\": " << reps
-            << ", \"kernels\": {";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &r = results[i];
-            out << (i ? ", " : "") << '"' << r.name
-                << "\": {\"scalar_ns\": " << util::jsonNumber(r.scalarNs)
-                << ", \"packed_ns\": " << util::jsonNumber(r.packedNs)
-                << ", \"speedup\": " << util::jsonNumber(r.speedup())
-                << "}";
-        }
-        out << "}}\n";
-        util::inform("kernel timings written to " + json_out);
-    }
+    bench::reportKernels(results, reps, json_out, "cells", cells);
 
     bench::footer("packed kernels should beat the scalar oracles on "
-                  "every row; sense_count_page is the read pipeline's "
+                  "every row; lazy_snapshot is the read pipeline's "
                   "hot path");
     return 0;
 }

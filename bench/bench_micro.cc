@@ -1,15 +1,23 @@
 /**
  * @file
- * Microbenchmarks of the hot paths (google-benchmark): per-cell
- * sensing, snapshot construction, threshold queries, oracle search,
- * inference, and the real codecs.
+ * Microbenchmarks of the hot paths: per-cell sensing, snapshot
+ * construction, threshold queries, oracle search, inference, and the
+ * real codecs.
+ *
+ *   bench_micro [--reps N]
+ *
+ * Each case runs a fixed batch of operations per rep; the table gives
+ * the best-of-N (bench::timeNs) time per operation.
  */
 
-#include <benchmark/benchmark.h>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "bench_support.hh"
 #include "core/error_difference.hh"
 #include "core/inference.hh"
+#include "core/sentinel_layout.hh"
 #include "ecc/bch.hh"
 #include "ecc/ldpc.hh"
 #include "nandsim/snapshot.hh"
@@ -20,133 +28,137 @@ using namespace flash;
 namespace
 {
 
-nand::Chip &
-benchChip()
-{
-    static nand::Chip chip = [] {
-        auto c = bench::makeQlcChip();
-        bench::ageBlock(c, bench::kEvalBlock, 3000);
-        return c;
-    }();
-    return chip;
-}
+volatile std::int64_t g_sink; // defeat dead-code elimination
 
-void
-BM_CellSense(benchmark::State &state)
+/** One row: @p ops operations per timed rep. */
+struct MicroCase
 {
-    auto &chip = benchChip();
-    const auto ctx = chip.wordlineContext(bench::kEvalBlock, 0);
-    int col = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            chip.cellVth(ctx, bench::kEvalBlock, 0, col, 5, 1));
-        col = (col + 1) & 0xffff;
-    }
-}
-BENCHMARK(BM_CellSense);
-
-void
-BM_SnapshotBuild(benchmark::State &state)
-{
-    auto &chip = benchChip();
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        const auto snap = nand::WordlineSnapshot::dataRegion(
-            chip, bench::kEvalBlock, 3, seq++);
-        benchmark::DoNotOptimize(snap.cells());
-    }
-    state.SetItemsProcessed(state.iterations()
-                            * chip.geometry().dataBitlines);
-}
-BENCHMARK(BM_SnapshotBuild)->Unit(benchmark::kMillisecond);
-
-void
-BM_BoundaryErrorQuery(benchmark::State &state)
-{
-    auto &chip = benchChip();
-    const auto snap =
-        nand::WordlineSnapshot::dataRegion(chip, bench::kEvalBlock, 3, 1);
-    const int v = chip.model().defaultVoltage(8);
-    int off = -40;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(snap.boundaryErrors(8, v + off));
-        off = off >= 40 ? -40 : off + 1;
-    }
-}
-BENCHMARK(BM_BoundaryErrorQuery);
-
-void
-BM_OracleSearchAllBoundaries(benchmark::State &state)
-{
-    auto &chip = benchChip();
-    const auto snap =
-        nand::WordlineSnapshot::dataRegion(chip, bench::kEvalBlock, 3, 1);
-    const auto defaults = chip.model().defaultVoltages();
-    const nand::OracleSearch oracle;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(oracle.optimalVoltages(snap, defaults));
-}
-BENCHMARK(BM_OracleSearchAllBoundaries)->Unit(benchmark::kMicrosecond);
-
-void
-BM_SentinelInference(benchmark::State &state)
-{
-    auto &chip = benchChip();
-    static const auto tables = bench::characterize(chip, 96);
-    const auto overlay =
-        core::makeOverlay(chip.geometry(), core::SentinelConfig{});
-    chip.programBlock(bench::kEvalBlock, 1, overlay);
-    bench::ageBlock(chip, bench::kEvalBlock, 3000);
-    const auto defaults = chip.model().defaultVoltages();
-    const core::InferenceEngine engine(tables, defaults);
-    const int v_s = defaults[8];
-
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        const auto sent = core::sentinelSnapshot(chip, bench::kEvalBlock,
-                                                 0, overlay, seq++);
-        const double d = core::countSentinelErrors(sent, 8, v_s).dRate();
-        benchmark::DoNotOptimize(engine.infer(d));
-    }
-    state.SetLabel("sentinel read + inference");
-}
-BENCHMARK(BM_SentinelInference)->Unit(benchmark::kMicrosecond);
-
-void
-BM_BchDecode(benchmark::State &state)
-{
-    const ecc::BchCodec codec(13, 8, 2048);
-    util::Rng rng(7);
-    std::vector<std::uint8_t> data(2048);
-    for (auto &b : data)
-        b = static_cast<std::uint8_t>(rng.uniformInt(2));
-    const auto clean = codec.encode(data);
-    for (auto _ : state) {
-        auto frame = clean;
-        for (int e = 0; e < 6; ++e) {
-            frame[rng.uniformInt(
-                static_cast<std::uint64_t>(codec.frameBits()))] ^= 1;
-        }
-        benchmark::DoNotOptimize(codec.decode(frame));
-    }
-}
-BENCHMARK(BM_BchDecode)->Unit(benchmark::kMicrosecond);
-
-void
-BM_LdpcDecode(benchmark::State &state)
-{
-    const ecc::QcLdpc code(211, 3, 24);
-    const ecc::MinSumDecoder dec(code);
-    util::Rng rng(9);
-    std::vector<float> llr(static_cast<std::size_t>(code.n()), 4.0f);
-    for (int e = 0; e < code.n() / 100; ++e)
-        llr[rng.uniformInt(static_cast<std::uint64_t>(code.n()))] = -4.0f;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dec.decode(llr));
-    state.SetLabel("n=" + std::to_string(code.n()) + ", 1% raw BER");
-}
-BENCHMARK(BM_LdpcDecode)->Unit(benchmark::kMicrosecond);
+    std::string name;
+    int ops;
+    std::function<void()> run;
+};
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    const int reps =
+        static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
+
+    bench::header("Hot-path microbenchmark",
+                  "per-operation cost of sensing, queries, inference "
+                  "and codecs",
+                  "n/a (engineering benchmark)");
+
+    auto chip = bench::makeQlcChip();
+    bench::ageBlock(chip, bench::kEvalBlock, 3000);
+    const int block = bench::kEvalBlock;
+    const auto defaults = chip.model().defaultVoltages();
+
+    std::vector<MicroCase> cases;
+
+    const auto ctx = chip.wordlineContext(block, 0);
+    cases.push_back({"cell_sense", 1 << 16, [&] {
+                         std::int64_t acc = 0;
+                         for (int col = 0; col < 1 << 16; ++col) {
+                             acc += static_cast<std::int64_t>(
+                                 chip.cellVth(ctx, block, 0, col, 5, 1));
+                         }
+                         g_sink = acc;
+                     }});
+
+    std::uint64_t seq = 0;
+    cases.push_back({"snapshot_build", 4, [&] {
+                         for (int i = 0; i < 4; ++i) {
+                             const auto snap =
+                                 nand::WordlineSnapshot::dataRegion(
+                                     chip, block, 3, seq++);
+                             g_sink = static_cast<std::int64_t>(
+                                 snap.cells());
+                         }
+                     }});
+
+    const auto snap = nand::WordlineSnapshot::dataRegion(chip, block, 3, 1);
+    const int v8 = chip.model().defaultVoltage(8);
+    cases.push_back({"boundary_error_query", 81 * 64, [&] {
+                         std::int64_t acc = 0;
+                         for (int r = 0; r < 64; ++r) {
+                             for (int off = -40; off <= 40; ++off) {
+                                 acc += static_cast<std::int64_t>(
+                                     snap.boundaryErrors(8, v8 + off));
+                             }
+                         }
+                         g_sink = acc;
+                     }});
+
+    const nand::OracleSearch oracle;
+    cases.push_back({"oracle_search_all_boundaries", 8, [&] {
+                         for (int i = 0; i < 8; ++i) {
+                             g_sink = oracle.optimalVoltages(snap, defaults)
+                                          .back();
+                         }
+                     }});
+
+    // Sentinel read + inference on a programmed, aged block.
+    const auto tables = bench::characterize(chip, 96);
+    const auto overlay =
+        core::makeOverlay(chip.geometry(), core::SentinelConfig{});
+    chip.programBlock(block, 1, overlay);
+    bench::ageBlock(chip, block, 3000);
+    const core::InferenceEngine engine(tables, defaults);
+    cases.push_back({"sentinel_inference", 64, [&] {
+                         for (int i = 0; i < 64; ++i) {
+                             const auto sent = core::sentinelSnapshot(
+                                 chip, block, 0, overlay, seq++);
+                             const double d =
+                                 core::countSentinelErrors(sent, 8, v8)
+                                     .dRate();
+                             g_sink = engine.infer(d).sentinelOffset;
+                         }
+                     }});
+
+    const ecc::BchCodec bch(13, 8, 2048);
+    util::Rng bch_rng(7);
+    std::vector<std::uint8_t> data(2048);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(bch_rng.uniformInt(2));
+    const auto clean = bch.encode(data);
+    cases.push_back({"bch_decode", 64, [&] {
+                         for (int i = 0; i < 64; ++i) {
+                             auto frame = clean;
+                             for (int e = 0; e < 6; ++e) {
+                                 frame[bch_rng.uniformInt(
+                                     static_cast<std::uint64_t>(
+                                         bch.frameBits()))] ^= 1;
+                             }
+                             g_sink = bch.decode(frame).correctedBits;
+                         }
+                     }});
+
+    const ecc::QcLdpc ldpc(211, 3, 24);
+    const ecc::MinSumDecoder decoder(ldpc);
+    util::Rng ldpc_rng(9);
+    std::vector<float> llr(static_cast<std::size_t>(ldpc.n()), 4.0f);
+    for (int e = 0; e < ldpc.n() / 100; ++e) {
+        llr[ldpc_rng.uniformInt(static_cast<std::uint64_t>(ldpc.n()))] =
+            -4.0f;
+    }
+    cases.push_back({"ldpc_decode", 8, [&] {
+                         for (int i = 0; i < 8; ++i)
+                             g_sink = decoder.decode(llr).iterations;
+                     }});
+
+    util::TextTable table;
+    table.header({"case", "ops/rep", "best (us/op)"});
+    for (const auto &c : cases) {
+        const double us = bench::timeNs(reps, c.run) / 1000.0;
+        table.row({c.name, std::to_string(c.ops), util::fmt(us / c.ops, 3)});
+    }
+    table.print(std::cout);
+
+    bench::footer("per-operation costs; codec rows are one frame each "
+                  "(BCH 2048 data bits with 6 errors, LDPC n = " +
+                  std::to_string(ldpc.n()) + " at 1% raw BER)");
+    return 0;
+}

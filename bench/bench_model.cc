@@ -24,47 +24,17 @@
  * paying for itself.
  */
 
-#include <chrono>
 #include <cmath>
-#include <fstream>
-#include <functional>
 #include <vector>
 
 #include "bench_support.hh"
 #include "core/voltage_model.hh"
-#include "util/metrics.hh"
 #include "util/rng.hh"
 
 using namespace flash;
 
 namespace
 {
-
-/** Best-of-@p reps wall time of @p fn in nanoseconds. */
-double
-timeNs(int reps, const std::function<void()> &fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count();
-        if (r == 0 || ns < best)
-            best = ns;
-    }
-    return best;
-}
-
-struct KernelResult
-{
-    std::string name;
-    double scalarNs = 0.0;
-    double packedNs = 0.0;
-
-    double speedup() const { return scalarNs / packedNs; }
-};
 
 /** One synthetic verified observation. */
 struct Obs
@@ -120,7 +90,7 @@ main(int argc, char **argv)
     for (const Obs &o : history)
         trained.observe(o.block, o.epoch, o.offset);
 
-    std::vector<KernelResult> results;
+    std::vector<bench::KernelResult> results;
 
     // --- model_predict ----------------------------------------------
     {
@@ -149,8 +119,8 @@ main(int argc, char **argv)
         packed();
         util::fatalIf(scalar_acc != packed_acc,
                       "model_predict: cached solve diverges from fresh");
-        results.push_back({"model_predict", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back({"model_predict", bench::timeNs(reps, scalar),
+                           bench::timeNs(reps, packed)});
     }
 
     // --- model_refit ------------------------------------------------
@@ -172,35 +142,11 @@ main(int argc, char **argv)
         util::fatalIf(std::abs(scalar_pred - packed_pred) > 1e-9,
                       "model_refit: batch refit diverges from "
                       "incremental moments");
-        results.push_back({"model_refit", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back({"model_refit", bench::timeNs(reps, scalar),
+                           bench::timeNs(reps, packed)});
     }
 
-    util::TextTable table;
-    table.header({"kernel", "scalar (us)", "packed (us)", "speedup"});
-    for (const auto &r : results) {
-        table.row({r.name, util::fmt(r.scalarNs / 1000.0, 1),
-                   util::fmt(r.packedNs / 1000.0, 1),
-                   util::fmt(r.speedup(), 2) + "x"});
-    }
-    table.print(std::cout);
-
-    if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        util::fatalIf(!out, "--json: cannot open " + json_out);
-        out << "{\"observations\": " << kObs << ", \"reps\": " << reps
-            << ", \"kernels\": {";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &r = results[i];
-            out << (i ? ", " : "") << '"' << r.name
-                << "\": {\"scalar_ns\": " << util::jsonNumber(r.scalarNs)
-                << ", \"packed_ns\": " << util::jsonNumber(r.packedNs)
-                << ", \"speedup\": " << util::jsonNumber(r.speedup())
-                << "}";
-        }
-        out << "}}\n";
-        util::inform("model timings written to " + json_out);
-    }
+    bench::reportKernels(results, reps, json_out, "observations", kObs);
 
     bench::footer("the cached solve amortizes the 4x4 elimination "
                   "across reads of an unchanged chunk; the refit row "

@@ -12,9 +12,13 @@
 #define SENTINELFLASH_BENCH_BENCH_SUPPORT_HH
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/characterization.hh"
 #include "core/evaluator.hh"
@@ -22,6 +26,7 @@
 #include "nandsim/oracle.hh"
 #include "ssd/config.hh"
 #include "util/logging.hh"
+#include "util/metrics.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -354,6 +359,72 @@ ageBlock(nand::Chip &chip, int block, std::uint32_t pe,
     chip.setPeCycles(block, pe);
     chip.refresh(block);
     chip.age(block, hours, temp_c);
+}
+
+/**
+ * Best-of-@p reps wall time of @p fn in nanoseconds: the one timer of
+ * the microbenchmarks (bench_kernels, bench_model, bench_micro).
+ */
+inline double
+timeNs(int reps, const std::function<void()> &fn)
+{
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ns =
+            std::chrono::duration<double, std::nano>(t1 - t0).count();
+        if (r == 0 || ns < best)
+            best = ns;
+    }
+    return best;
+}
+
+/** One reference-vs-fast row of bench_kernels / bench_model. */
+struct KernelResult
+{
+    std::string name;
+    double scalarNs = 0.0; ///< reference (oracle) path
+    double packedNs = 0.0; ///< the path the program runs
+
+    double speedup() const { return scalarNs / packedNs; }
+};
+
+/**
+ * Print @p results as a table and, when @p json_out is set, write
+ * {"<size_key>": size, "reps": reps, "kernels": {name: {scalar_ns,
+ * packed_ns, speedup}}}, the schema tools/bench_compare gates.
+ */
+inline void
+reportKernels(const std::vector<KernelResult> &results, int reps,
+              const std::string &json_out, const std::string &size_key,
+              long size)
+{
+    util::TextTable table;
+    table.header({"kernel", "scalar (us)", "packed (us)", "speedup"});
+    for (const auto &r : results) {
+        table.row({r.name, util::fmt(r.scalarNs / 1000.0, 1),
+                   util::fmt(r.packedNs / 1000.0, 1),
+                   util::fmt(r.speedup(), 2) + "x"});
+    }
+    table.print(std::cout);
+
+    if (json_out.empty())
+        return;
+    std::ofstream out(json_out);
+    util::fatalIf(!out, "--json: cannot open " + json_out);
+    out << "{\"" << size_key << "\": " << size << ", \"reps\": " << reps
+        << ", \"kernels\": {";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto &r = results[i];
+        out << (i ? ", " : "") << '"' << r.name
+            << "\": {\"scalar_ns\": " << util::jsonNumber(r.scalarNs)
+            << ", \"packed_ns\": " << util::jsonNumber(r.packedNs)
+            << ", \"speedup\": " << util::jsonNumber(r.speedup()) << "}";
+    }
+    out << "}}\n";
+    util::inform("timings written to " + json_out);
 }
 
 /** Print the harness header. */

@@ -83,21 +83,6 @@ struct WordlineContext
     double readNoiseSigma = 0.0;
 };
 
-/** Result of an exact page read. */
-struct PageReadResult
-{
-    std::uint64_t bitErrors = 0; ///< misread bits vs programmed data
-    std::uint64_t bits = 0;      ///< bits read
-
-    /** Raw bit error rate of this read. */
-    double rber() const
-    {
-        return bits ? static_cast<double>(bitErrors)
-                / static_cast<double>(bits)
-                    : 0.0;
-    }
-};
-
 /**
  * One simulated chip. Fully immutable after programming and aging:
  * every sensing entry point is const, keeps no hidden state, and
@@ -179,7 +164,7 @@ class Chip
 
     /**
      * True states of a column range in one pass (the batched form of
-     * trueState(); used by WordlineVthView).
+     * trueState(); used by the batched sensing paths).
      */
     void trueStates(int block, int wl, int col_begin, int col_end,
                     std::vector<std::uint8_t> &states_out) const;
@@ -206,7 +191,7 @@ class Chip
      * Read-independent part of cellVth(): the state draw, heavy-tail
      * selection and spatial gradient, without the per-read noise.
      * cellVth() == staticCellVth() + readNoise() exactly; batching
-     * this part once per session is what WordlineVthView does.
+     * this part once per range is what WordlineVthView does.
      */
     double staticCellVth(const WordlineContext &ctx, int block, int wl,
                          int col, int state) const;
@@ -242,17 +227,9 @@ class Chip
                      std::uint64_t read_seq) const;
 
     /**
-     * Exact page read: applies the page's read voltages (indexed by
-     * boundary, 1-based; only the page's boundaries are consulted)
-     * and counts misread bits against the programmed data.
-     */
-    PageReadResult readPage(int block, int wl, int page,
-                            const std::vector<int> &voltages,
-                            std::uint64_t read_seq) const;
-
-    /**
      * Read raw bits of a column range of a page into @p bits_out
-     * (one byte per bit). Used by the ECC experiments.
+     * (one byte per bit), one cellVth() per cell: the scalar oracle
+     * the snapshot and view sensing paths are tested against.
      */
     void readBits(int block, int wl, int page,
                   const std::vector<int> &voltages, std::uint64_t read_seq,

@@ -10,22 +10,20 @@ namespace flash::nand
 WordlineVthView::WordlineVthView(const Chip &chip, int block, int wl,
                                  int col_begin, int col_end)
     : chip_(&chip), block_(block), wl_(wl), colBegin_(col_begin),
-      colEnd_(col_end), ctx_(chip.wordlineContext(block, wl))
+      ctx_(chip.wordlineContext(block, wl))
 {
     const auto &geom = chip.geometry();
     util::fatalIf(col_begin < 0 || col_end > geom.bitlines()
                       || col_begin > col_end,
                   "vth view: bad column range");
 
-    chip.trueStates(block, wl, col_begin, col_end, states_);
-    static_.resize(states_.size());
-    stateCount_.assign(static_cast<std::size_t>(geom.states()), 0);
-    for (std::size_t i = 0; i < states_.size(); ++i) {
+    std::vector<std::uint8_t> states;
+    chip.trueStates(block, wl, col_begin, col_end, states);
+    static_.resize(states.size());
+    for (std::size_t i = 0; i < states.size(); ++i) {
         const int col = col_begin + static_cast<int>(i);
-        static_[i] = chip.staticCellVth(ctx_, block, wl, col, states_[i]);
-        ++stateCount_[states_[i]];
+        static_[i] = chip.staticCellVth(ctx_, block, wl, col, states[i]);
     }
-    trueBits_.resize(static_cast<std::size_t>(geom.pagesPerWordline()));
 }
 
 WordlineVthView
@@ -33,20 +31,6 @@ WordlineVthView::dataRegion(const Chip &chip, int block, int wl)
 {
     return WordlineVthView(chip, block, wl, 0,
                            chip.geometry().dataBitlines);
-}
-
-WordlineVthView
-WordlineVthView::fullWordline(const Chip &chip, int block, int wl)
-{
-    return WordlineVthView(chip, block, wl, 0, chip.geometry().bitlines());
-}
-
-std::uint64_t
-WordlineVthView::cellsInState(int s) const
-{
-    util::fatalIf(s < 0 || s >= static_cast<int>(stateCount_.size()),
-                  "vth view: state out of range");
-    return stateCount_[static_cast<std::size_t>(s)];
 }
 
 std::vector<int>
@@ -109,80 +93,6 @@ WordlineVthView::packBits(int page, const std::vector<int> &voltages,
     if (n & 63)
         words[n >> 6] = w;
     return out;
-}
-
-const util::Bitplane &
-WordlineVthView::truePageBits(int page) const
-{
-    util::fatalIf(page < 0
-                      || page >= static_cast<int>(trueBits_.size()),
-                  "vth view: page out of range");
-    auto &cached = trueBits_[static_cast<std::size_t>(page)];
-    if (!cached) {
-        const GrayCode &code = chip_->grayCode();
-        util::Bitplane plane(states_.size());
-        std::uint64_t *words = plane.words();
-        for (std::size_t i = 0; i < states_.size(); ++i) {
-            words[i >> 6] |= static_cast<std::uint64_t>(
-                                 code.bit(states_[i], page))
-                << (i & 63);
-        }
-        cached.emplace(std::move(plane));
-    }
-    return *cached;
-}
-
-PageReadResult
-WordlineVthView::pageRead(int page, const std::vector<int> &voltages,
-                          std::uint64_t read_seq) const
-{
-    return pageRead(page, voltages, senseDac(read_seq));
-}
-
-PageReadResult
-WordlineVthView::pageRead(int page, const std::vector<int> &voltages,
-                          const std::vector<int> &dac) const
-{
-    PageReadResult r;
-    r.bits = cells();
-    r.bitErrors =
-        util::diffCount(packBits(page, voltages, dac), truePageBits(page));
-    return r;
-}
-
-util::Bitplane
-WordlineVthView::senseAbove(const std::vector<int> &dac, int voltage) const
-{
-    util::fatalIf(dac.size() != static_.size(),
-                  "vth view: sense size mismatch");
-    util::Bitplane out(dac.size());
-    std::uint64_t *words = out.words();
-    const std::size_t n = dac.size();
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        w |= static_cast<std::uint64_t>(dac[i] > voltage) << (i & 63);
-        if ((i & 63) == 63) {
-            words[i >> 6] = w;
-            w = 0;
-        }
-    }
-    if (n & 63)
-        words[n >> 6] = w;
-    return out;
-}
-
-std::uint64_t
-WordlineVthView::cellsInDacRange(const std::vector<int> &dac, int lo,
-                                 int hi) const
-{
-    util::fatalIf(dac.size() != static_.size(),
-                  "vth view: sense size mismatch");
-    if (hi < lo)
-        std::swap(lo, hi);
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < dac.size(); ++i)
-        n += dac[i] > lo && dac[i] <= hi;
-    return n;
 }
 
 } // namespace flash::nand

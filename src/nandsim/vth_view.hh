@@ -1,27 +1,25 @@
 /**
  * @file
- * WordlineVthView: batched sensing of one wordline.
+ * WordlineVthView: batched sensing of a column range of one wordline.
  *
  * Materializes the read-independent part of every cell's threshold
- * voltage (state draw, heavy tail, spatial gradient) plus the true
- * states in one pass over the per-cell hashes. Every subsequent sense
- * of the same wordline — any read voltage, any retry, any soft-sense
- * shift — then only adds the per-read noise term and compares, so a
- * read session hashes each cell once instead of once per sense.
- *
- * Sensed pages come out as packed bitplanes (util::Bitplane, one bit
- * per cell) and error counts are popcount kernels over uint64_t
- * words. Determinism contract: senseDac(read_seq) reproduces
+ * voltage (state draw, heavy tail, spatial gradient) once. Every
+ * subsequent sense of the range (soft sensing's shifted reads) then
+ * only adds the per-read noise term, and packBits() thresholds one
+ * sense into a packed page bitplane (util::Bitplane, one bit per
+ * cell). Determinism contract: senseDac(read_seq) reproduces
  * Chip::cellVth() bit-exactly for the same read-sequence number, so
  * views compose with the caller-owned ReadSeq sequencing from
  * nandsim/read_seq.hh.
+ *
+ * Read sessions do not use views: they count errors on lazy
+ * WordlineSnapshots (nandsim/snapshot.hh).
  */
 
 #ifndef SENTINELFLASH_NANDSIM_VTH_VIEW_HH
 #define SENTINELFLASH_NANDSIM_VTH_VIEW_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "nandsim/chip.hh"
@@ -30,13 +28,7 @@
 namespace flash::nand
 {
 
-/**
- * Batched static-Vth materialization of a column range of one
- * wordline. Lazily caches the packed true bits of each page; the
- * lazy cache makes const methods non-reentrant, so share a view
- * across threads only after warming it (or give each session its
- * own view, which is the intended use).
- */
+/** Batched static-Vth materialization of a column range of one wordline. */
 class WordlineVthView
 {
   public:
@@ -47,31 +39,8 @@ class WordlineVthView
     /** View of the user-data region. */
     static WordlineVthView dataRegion(const Chip &chip, int block, int wl);
 
-    /** View of the whole wordline (data + OOB). */
-    static WordlineVthView fullWordline(const Chip &chip, int block, int wl);
-
-    /** The chip this view was materialized from. */
-    const Chip &chip() const { return *chip_; }
-
-    int block() const { return block_; }
-    int wordline() const { return wl_; }
-    int colBegin() const { return colBegin_; }
-    int colEnd() const { return colEnd_; }
-
     /** Number of cells in the view. */
-    std::size_t cells() const { return states_.size(); }
-
-    /** Distribution context the view was built under. */
-    const WordlineContext &context() const { return ctx_; }
-
-    /** True state of cell @p i (0-based within the view). */
-    std::uint8_t state(std::size_t i) const { return states_[i]; }
-
-    /** Read-independent Vth of cell @p i (before read noise). */
-    double staticVth(std::size_t i) const { return static_[i]; }
-
-    /** Number of view cells whose true state is @p s. */
-    std::uint64_t cellsInState(int s) const;
+    std::size_t cells() const { return static_.size(); }
 
     /**
      * One sense of every cell: quantized DAC values of
@@ -87,40 +56,11 @@ class WordlineVthView
     util::Bitplane packBits(int page, const std::vector<int> &voltages,
                             const std::vector<int> &dac) const;
 
-    /** Packed true (programmed) bits of a page (lazily cached). */
-    const util::Bitplane &truePageBits(int page) const;
-
-    /**
-     * Exact page read against the programmed data: one sense plus a
-     * packed XOR/popcount error count. Identical results to
-     * Chip::readPage() at a fraction of the hashing.
-     */
-    PageReadResult pageRead(int page, const std::vector<int> &voltages,
-                            std::uint64_t read_seq) const;
-
-    /** pageRead() reusing an already-materialized sense. */
-    PageReadResult pageRead(int page, const std::vector<int> &voltages,
-                            const std::vector<int> &dac) const;
-
-    /**
-     * Packed plane of cells sensed strictly above @p voltage under
-     * one sense's DAC values.
-     */
-    util::Bitplane senseAbove(const std::vector<int> &dac,
-                              int voltage) const;
-
-    /** Cells of one sense with DAC value in (lo, hi] (order-free). */
-    std::uint64_t cellsInDacRange(const std::vector<int> &dac, int lo,
-                                  int hi) const;
-
   private:
     const Chip *chip_;
-    int block_, wl_, colBegin_, colEnd_;
+    int block_, wl_, colBegin_;
     WordlineContext ctx_;
     std::vector<double> static_;
-    std::vector<std::uint8_t> states_;
-    std::vector<std::uint64_t> stateCount_;
-    mutable std::vector<std::optional<util::Bitplane>> trueBits_;
 };
 
 } // namespace flash::nand

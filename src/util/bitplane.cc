@@ -1,7 +1,6 @@
 #include "util/bitplane.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/logging.hh"
 
@@ -37,15 +36,6 @@ Bitplane::flip()
     maskTail();
 }
 
-std::uint64_t
-Bitplane::popcount() const
-{
-    std::uint64_t n = 0;
-    for (std::uint64_t w : words_)
-        n += static_cast<std::uint64_t>(std::popcount(w));
-    return n;
-}
-
 Bitplane &
 Bitplane::operator^=(const Bitplane &other)
 {
@@ -53,76 +43,6 @@ Bitplane::operator^=(const Bitplane &other)
     for (std::size_t i = 0; i < words_.size(); ++i)
         words_[i] ^= other.words_[i];
     return *this;
-}
-
-Bitplane &
-Bitplane::operator|=(const Bitplane &other)
-{
-    checkSizes(*this, other);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        words_[i] |= other.words_[i];
-    return *this;
-}
-
-Bitplane &
-Bitplane::operator&=(const Bitplane &other)
-{
-    checkSizes(*this, other);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        words_[i] &= other.words_[i];
-    return *this;
-}
-
-std::uint64_t
-diffCount(const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<std::uint64_t>(std::popcount(wa[i] ^ wb[i]));
-    return n;
-}
-
-std::uint64_t
-andCount(const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<std::uint64_t>(std::popcount(wa[i] & wb[i]));
-    return n;
-}
-
-std::uint64_t
-andNotCount(const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<std::uint64_t>(std::popcount(wa[i] & ~wb[i]));
-    return n;
-}
-
-std::uint64_t
-maskedDiffCount(const Bitplane &mask, const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(mask, a);
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wm = mask.words();
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i) {
-        n += static_cast<std::uint64_t>(
-            std::popcount(wm[i] & (wa[i] ^ wb[i])));
-    }
-    return n;
 }
 
 void

@@ -1,16 +1,15 @@
 /**
  * @file
- * Packed bitplanes: one bit per cell in uint64_t words, with
- * popcount-based counting kernels.
+ * Packed bitplanes: one bit per cell in uint64_t words.
  *
- * The sensing hot loops (page error counting, sentinel up/down
- * errors, state-change comparison, soft-sensing agreement) reduce to
- * boolean algebra over whole wordlines; storing one bit per cell and
- * counting with std::popcount turns byte-per-bit passes into
- * word-at-a-time kernels (64 cells per instruction).
+ * Soft sensing (ecc/soft_sensing) reduces its shifted senses to
+ * boolean algebra over a column range: each sense is packed into a
+ * plane (nand::WordlineVthView::packBits), XORed against the center
+ * decision, and accumulated in a bit-sliced counter, 64 cells per
+ * word operation.
  *
  * Invariant: bits beyond size() in the last word are always zero, so
- * every kernel may popcount whole words without masking.
+ * whole-word operations never need masking.
  */
 
 #ifndef SENTINELFLASH_UTIL_BITPLANE_HH
@@ -45,9 +44,6 @@ class Bitplane
     /** Mutable backing words; call maskTail() after raw writes. */
     std::uint64_t *words() { return words_.data(); }
 
-    /** Set bit @p i to one. */
-    void set(std::size_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
-
     /** Set bit @p i to @p v. */
     void
     assign(std::size_t i, bool v)
@@ -74,17 +70,8 @@ class Bitplane
     /** Complement every bit in place. */
     void flip();
 
-    /** Number of one bits. */
-    std::uint64_t popcount() const;
-
     /** In-place XOR with @p other (equal sizes). */
     Bitplane &operator^=(const Bitplane &other);
-
-    /** In-place OR with @p other (equal sizes). */
-    Bitplane &operator|=(const Bitplane &other);
-
-    /** In-place AND with @p other (equal sizes). */
-    Bitplane &operator&=(const Bitplane &other);
 
     /**
      * Expand to one byte per bit (0/1) into @p out, which must hold
@@ -98,19 +85,6 @@ class Bitplane
     std::size_t bits_ = 0;
     std::vector<std::uint64_t> words_;
 };
-
-/** popcount(a ^ b): number of differing bits (equal sizes). */
-std::uint64_t diffCount(const Bitplane &a, const Bitplane &b);
-
-/** popcount(a & b) (equal sizes). */
-std::uint64_t andCount(const Bitplane &a, const Bitplane &b);
-
-/** popcount(a & ~b) (equal sizes). */
-std::uint64_t andNotCount(const Bitplane &a, const Bitplane &b);
-
-/** popcount(mask & (a ^ b)): differing bits within a mask. */
-std::uint64_t maskedDiffCount(const Bitplane &mask, const Bitplane &a,
-                              const Bitplane &b);
 
 /**
  * Bit-sliced per-bit counter with 3 bit planes (values 0..7, enough
@@ -127,13 +101,6 @@ class SlicedCounter3
 
     /** Add 1 to the counter of every bit set in @p plane. */
     void add(const Bitplane &plane);
-
-    /** Counter value of bit @p i (0..7). */
-    int valueAt(std::size_t i) const
-    {
-        return (s0_.test(i) ? 1 : 0) + (s1_.test(i) ? 2 : 0)
-            + (s2_.test(i) ? 4 : 0);
-    }
 
     /**
      * Expand every counter to one byte (0..7) into @p out, which must

@@ -1,10 +1,8 @@
 /**
- * WordlineVthView equivalence suite: the batched sensing path must be
- * bit-identical to the per-cell chip APIs it accelerates — senseDac
- * vs cellVth, packBits vs readBits, pageRead vs the byte-wise oracle
- * (the Chip::readPage regression), lazy snapshots vs eager ones, and
- * the packed sentinel / state-change kernels vs their histogram-based
- * counterparts on the lazy snapshots read sessions build.
+ * WordlineVthView equivalence suite: the batched sensing path soft
+ * sensing uses must be bit-identical to the per-cell chip APIs it
+ * accelerates (senseDac vs cellVth, packBits vs readBits), and the
+ * lazy snapshots read sessions build must match eager ones.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/calibration.hh"
-#include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
@@ -36,8 +32,7 @@ class VthViewTest : public ::testing::Test
                                       tlcVoltageParams(), 987);
         core::SentinelConfig scfg;
         scfg.ratio = 0.01;
-        overlay = core::makeOverlay(chip->geometry(), scfg);
-        chip->programBlock(1, 5, overlay);
+        chip->programBlock(1, 5, core::makeOverlay(chip->geometry(), scfg));
         chip->setPeCycles(1, 5000);
         chip->age(1, 8760.0, 25.0);
     }
@@ -45,11 +40,9 @@ class VthViewTest : public ::testing::Test
     static void TearDownTestSuite() { chip.reset(); }
 
     static std::unique_ptr<Chip> chip;
-    static SentinelOverlay overlay;
 };
 
 std::unique_ptr<Chip> VthViewTest::chip;
-SentinelOverlay VthViewTest::overlay;
 
 constexpr int kBlock = 1;
 constexpr int kWl = 3;
@@ -62,24 +55,27 @@ TEST_F(VthViewTest, SenseDacReproducesCellVthExactly)
         const auto dac = view.senseDac(seq);
         ASSERT_EQ(dac.size(), view.cells());
         for (std::size_t i = 0; i < view.cells(); ++i) {
+            const int col = static_cast<int>(i);
             const double vth =
-                chip->cellVth(ctx, kBlock, kWl, static_cast<int>(i),
-                              view.state(i), seq);
+                chip->cellVth(ctx, kBlock, kWl, col,
+                              chip->trueState(kBlock, kWl, col), seq);
             EXPECT_EQ(dac[i], static_cast<int>(std::lround(vth)))
                 << "cell " << i << " seq " << seq;
         }
     }
 }
 
+// The split senseDac relies on: the static part the view caches
+// plus the per-read noise is exactly cellVth.
 TEST_F(VthViewTest, StaticPlusNoiseEqualsCellVth)
 {
-    const WordlineVthView view(*chip, kBlock, kWl, 100, 600);
     const WordlineContext ctx = chip->wordlineContext(kBlock, kWl);
-    for (std::size_t i = 0; i < view.cells(); ++i) {
-        const int col = 100 + static_cast<int>(i);
+    for (int col = 100; col < 600; ++col) {
+        const int state = chip->trueState(kBlock, kWl, col);
         const double direct =
-            chip->cellVth(ctx, kBlock, kWl, col, view.state(i), 42);
-        const double split = view.staticVth(i)
+            chip->cellVth(ctx, kBlock, kWl, col, state, 42);
+        const double split =
+            chip->staticCellVth(ctx, kBlock, kWl, col, state)
             + chip->readNoise(ctx, kBlock, kWl, col, 42);
         EXPECT_EQ(direct, split) << "col " << col;
     }
@@ -105,69 +101,12 @@ TEST_F(VthViewTest, PackBitsMatchesReadBits)
     }
 }
 
-TEST_F(VthViewTest, TruePageBitsMatchChipTrueBits)
-{
-    const int cells = chip->geometry().dataBitlines;
-    const WordlineVthView view =
-        WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    for (int page = 0; page < chip->geometry().pagesPerWordline();
-         ++page) {
-        const auto &packed = view.truePageBits(page);
-        std::vector<std::uint8_t> bytes;
-        chip->trueBits(kBlock, kWl, page, 0, cells, bytes);
-        ASSERT_EQ(packed.size(), bytes.size());
-        for (std::size_t i = 0; i < bytes.size(); ++i)
-            ASSERT_EQ(packed.test(i), bytes[i] != 0)
-                << "page " << page << " cell " << i;
-    }
-}
-
-// Satellite regression: Chip::readPage (now one WordlineVthView for
-// all voltages instead of a per-voltage context + rehash) must return
-// the same PageReadResult as the byte-wise oracle, voltage set by
-// voltage set.
-TEST_F(VthViewTest, ReadPageMatchesByteWiseOracle)
-{
-    const int cells = chip->geometry().dataBitlines;
-    auto voltages = chip->model().defaultVoltages();
-    for (int shift = 0; shift <= 8; shift += 4) {
-        auto v = voltages;
-        for (std::size_t k = 1; k < v.size(); ++k)
-            v[k] -= shift;
-        for (int page = 0; page < chip->geometry().pagesPerWordline();
-             ++page) {
-            const std::uint64_t seq =
-                900 + static_cast<std::uint64_t>(shift * 10 + page);
-            const PageReadResult got =
-                chip->readPage(kBlock, kWl, page, v, seq);
-
-            std::vector<std::uint8_t> sensed, truth;
-            chip->readBits(kBlock, kWl, page, v, seq, 0, cells, sensed);
-            chip->trueBits(kBlock, kWl, page, 0, cells, truth);
-            std::uint64_t errs = 0;
-            for (std::size_t i = 0; i < sensed.size(); ++i)
-                errs += sensed[i] != truth[i];
-
-            EXPECT_EQ(got.bits, static_cast<std::uint64_t>(cells));
-            EXPECT_EQ(got.bitErrors, errs)
-                << "page " << page << " shift " << shift;
-        }
-    }
-}
-
-/** Lazy snapshot of a column range, as a read session builds it. */
-WordlineSnapshot
-lazySnapshot(const Chip &c, int col_begin, int col_end, std::uint64_t seq)
-{
-    return WordlineSnapshot(c, kBlock, kWl, seq, col_begin, col_end,
-                            WordlineSnapshot::Lazy{});
-}
-
 TEST_F(VthViewTest, LazySnapshotMatchesDirectSnapshot)
 {
     const std::uint64_t seq = 1234;
-    const WordlineSnapshot lazy =
-        lazySnapshot(*chip, 0, chip->geometry().dataBitlines, seq);
+    const WordlineSnapshot lazy(*chip, kBlock, kWl, seq, 0,
+                                chip->geometry().dataBitlines,
+                                WordlineSnapshot::Lazy{});
     const WordlineSnapshot direct =
         WordlineSnapshot::dataRegion(*chip, kBlock, kWl, seq);
 
@@ -188,94 +127,6 @@ TEST_F(VthViewTest, LazySnapshotMatchesDirectSnapshot)
         EXPECT_EQ(lazy.cellsInVthRange(v0, v),
                   direct.cellsInVthRange(v0, v));
     }
-}
-
-TEST_F(VthViewTest, PackedSentinelErrorsMatchSnapshotKernel)
-{
-    const std::uint64_t seq = 4321;
-    const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
-                                    overlay.start + overlay.count);
-    const WordlineSnapshot sent_snap = lazySnapshot(
-        *chip, overlay.start, overlay.start + overlay.count, seq);
-    const int k_s = chip->geometry().states() / 2;
-    const core::SentinelMasks masks(sent_view, k_s);
-    const auto dac = sent_view.senseDac(seq);
-
-    const auto defaults = chip->model().defaultVoltages();
-    const int v0 = defaults[static_cast<std::size_t>(k_s)];
-    // Interior voltages only: the histogram clamps tail DAC values
-    // into its edge bins, the packed kernel does not.
-    for (int v = v0 - 12; v <= v0 + 12; ++v) {
-        const auto snap_errs =
-            core::countSentinelErrors(sent_snap, k_s, v);
-        const auto packed_errs =
-            core::countSentinelErrors(sent_view, masks, dac, v);
-        EXPECT_EQ(packed_errs.up, snap_errs.up) << "v " << v;
-        EXPECT_EQ(packed_errs.down, snap_errs.down) << "v " << v;
-        EXPECT_EQ(packed_errs.sentinels, snap_errs.sentinels);
-        EXPECT_DOUBLE_EQ(packed_errs.dRate(), snap_errs.dRate());
-    }
-}
-
-TEST_F(VthViewTest, PackedStateChangeMatchesSnapshotOverload)
-{
-    const std::uint64_t data_seq = 11, sent_seq = 22;
-    const WordlineVthView data_view =
-        WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
-                                    overlay.start + overlay.count);
-    const WordlineSnapshot data_snap =
-        lazySnapshot(*chip, 0, chip->geometry().dataBitlines, data_seq);
-    const WordlineSnapshot sent_snap = lazySnapshot(
-        *chip, overlay.start, overlay.start + overlay.count, sent_seq);
-    const auto data_dac = data_view.senseDac(data_seq);
-    const auto sent_dac = sent_view.senseDac(sent_seq);
-
-    const int k_s = chip->geometry().states() / 2;
-    const int v0 = chip->model()
-                       .defaultVoltages()[static_cast<std::size_t>(k_s)];
-    for (int v_infer = v0 - 10; v_infer <= v0 + 10; v_infer += 2) {
-        const auto snap_obs = core::observeStateChange(
-            data_snap, sent_snap, k_s, v0, v_infer);
-        const auto packed_obs = core::observeStateChange(
-            data_view, data_dac, sent_view, sent_dac, k_s, v0, v_infer);
-        EXPECT_EQ(packed_obs.nca, snap_obs.nca) << "v_infer " << v_infer;
-        EXPECT_EQ(packed_obs.ncs, snap_obs.ncs) << "v_infer " << v_infer;
-        EXPECT_DOUBLE_EQ(packed_obs.scaledNcs, snap_obs.scaledNcs);
-        EXPECT_EQ(packed_obs.decision, snap_obs.decision);
-        EXPECT_EQ(packed_obs.tuneFurther, snap_obs.tuneFurther);
-    }
-}
-
-TEST_F(VthViewTest, CellsInDacRangeMatchesNaiveCount)
-{
-    const WordlineVthView view(*chip, kBlock, kWl, 0, 2048);
-    const auto dac = view.senseDac(7);
-    const int v0 = chip->model().defaultVoltages()[2];
-    for (const auto [lo, hi] : {std::pair{v0 - 6, v0 + 6},
-                                std::pair{v0 + 6, v0 - 6},
-                                std::pair{v0, v0}}) {
-        std::uint64_t expect = 0;
-        const int a = std::min(lo, hi), b = std::max(lo, hi);
-        for (const int d : dac)
-            expect += d > a && d <= b;
-        EXPECT_EQ(view.cellsInDacRange(dac, lo, hi), expect);
-    }
-}
-
-TEST_F(VthViewTest, CellsInStateMatchesStateArray)
-{
-    const WordlineVthView view =
-        WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    std::vector<std::uint64_t> counts(
-        static_cast<std::size_t>(chip->geometry().states()), 0);
-    for (std::size_t i = 0; i < view.cells(); ++i)
-        ++counts[view.state(i)];
-    for (int s = 0; s < chip->geometry().states(); ++s)
-        EXPECT_EQ(view.cellsInState(s), counts[static_cast<std::size_t>(s)]);
-    EXPECT_THROW(view.cellsInState(-1), util::FatalError);
-    EXPECT_THROW(view.cellsInState(chip->geometry().states()),
-                 util::FatalError);
 }
 
 TEST_F(VthViewTest, RejectsBadRanges)
